@@ -1,40 +1,21 @@
-//! Disabled-instrumentation overhead probe for the CI guard.
+//! Flight-recorder overhead probe for the CI guard.
 //!
 //! Mirrors the `cvs_index_reuse_8_views/cached/64` criterion scenario —
 //! one per-change [`MkbIndex`] build plus eight indexed view
 //! synchronizations per iteration — without criterion, so it runs in a
-//! couple of seconds and compiles with *and* without the default
-//! features. CI builds both configurations, runs each, and asserts the
-//! default build (telemetry *and* eve-faults sites compiled in but
-//! **not** installed, i.e. one relaxed atomic load each) stays within
-//! 5% of the `--no-default-features` build, in which both facades
-//! compile to no-ops. The probe path crosses every fault site
-//! (`index.build`, `index.enumerate-trees`, `search.candidate`,
-//! `view.sync`, `hypergraph.tree-iter`), so the guard covers them all.
-//!
-//! A second probe pins the data-oriented enumeration core on its own:
-//! [`Hypergraph::tree_cursor`] driven to exhaustion over the wide-MKB
-//! workload's view relations. The cursor's steady state is
-//! allocation-free index arithmetic, so any instrumentation residue
-//! (the per-call fault-site load, the yield-counter flush on drop)
-//! shows up here with nothing to hide behind.
+//! couple of seconds. It compares a *live* telemetry pipeline against a
+//! live pipeline with the flight recorder armed, both in one process.
 //!
 //! Output: two lines on stdout —
-//! `median_ns_per_iter=<n>` and `cursor_median_ns_per_iter=<n>`.
-//!
-//! With `--enabled` (default build only), the probe instead compares a
-//! *live* pipeline against a live pipeline with the flight recorder
-//! armed: `enabled_median_ns_per_iter=<n>` (telemetry installed, no
-//! sinks) and `recorder_median_ns_per_iter=<n>` (plus
-//! `flight_install`). CI asserts the recorder stays within 5% of the
-//! enabled pipeline — the per-event cost is one uncontended mutex push
-//! into a bounded ring.
+//! `enabled_median_ns_per_iter=<n>` (telemetry installed, no sinks) and
+//! `recorder_median_ns_per_iter=<n>` (plus `flight_install`). CI asserts
+//! the recorder stays within 5% of the enabled pipeline — the per-event
+//! cost is one uncontended mutex push into a bounded ring. An optional
+//! numeric argument sets the sample count (default 60).
 
 use eve_core::{cvs_delete_relation_indexed, CvsOptions, MkbIndex};
-use eve_hypergraph::Hypergraph;
 use eve_misd::evolve;
 use eve_workload::{SynthConfig, SynthWorkload, Topology};
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 const VIEWS: usize = 8;
@@ -50,39 +31,11 @@ fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// The `--enabled` A/B: live pipeline vs live pipeline + recorder.
-#[cfg(feature = "telemetry")]
-fn enabled_probe(iters: usize, one_iter: impl Fn()) {
-    let _serial = eve_telemetry::serial_guard();
-    for _ in 0..5 {
-        one_iter(); // warm-up outside the pipeline
-    }
-
-    eve_telemetry::install(vec![]).expect("no other pipeline installed");
-    let enabled = median_ns(iters, &one_iter);
-    println!("enabled_median_ns_per_iter={enabled}");
-
-    eve_telemetry::flight_install(4096, None).expect("no other recorder installed");
-    let recorder = median_ns(iters, &one_iter);
-    println!("recorder_median_ns_per_iter={recorder}");
-    let stats = eve_telemetry::flight_uninstall().expect("recorder was installed");
-    assert!(
-        stats.buffered > 0,
-        "recorder observed nothing — probe is vacuous"
-    );
-    eve_telemetry::uninstall();
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn enabled_probe(_iters: usize, _one_iter: impl Fn()) {
-    eprintln!("overhead --enabled requires the default `telemetry` feature");
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let enabled_mode = args.iter().any(|a| a == "--enabled");
-    let iters: usize = args.iter().find_map(|a| a.parse().ok()).unwrap_or(60);
+    let iters: usize = std::env::args()
+        .skip(1)
+        .find_map(|a| a.parse().ok())
+        .unwrap_or(60);
 
     let cfg = SynthConfig {
         n_relations: 64,
@@ -103,44 +56,22 @@ fn main() {
         }
     };
 
-    if enabled_mode {
-        enabled_probe(iters, one_iter);
-        return;
-    }
-
-    // Warm-up: fault in code paths and allocator arenas before timing.
+    let _serial = eve_telemetry::serial_guard();
     for _ in 0..5 {
-        one_iter();
+        one_iter(); // warm-up outside the pipeline
     }
 
-    println!("median_ns_per_iter={}", median_ns(iters, one_iter));
+    eve_telemetry::install(vec![]).expect("no other pipeline installed");
+    let enabled = median_ns(iters, one_iter);
+    println!("enabled_median_ns_per_iter={enabled}");
 
-    // Probe 2: the id-level enumeration core in isolation. Stream every
-    // connection tree over the wide workload's view relations; the
-    // relation count stays within the inline bitset budget, so the loop
-    // body is exactly the code the fault/telemetry facades decorate.
-    let wide = SynthWorkload::wide_mkb(4, 3);
-    let h = Hypergraph::build(&wide.mkb);
-    let terminals: BTreeSet<_> = wide.view.relations().into_iter().collect();
-    let cursor_iter = || {
-        let mut cursor = h.tree_cursor(&terminals, 8);
-        let mut yielded = 0u64;
-        while cursor.advance() {
-            yielded += 1;
-        }
-        yielded
-    };
+    eve_telemetry::flight_install(4096, None).expect("no other recorder installed");
+    let recorder = median_ns(iters, one_iter);
+    println!("recorder_median_ns_per_iter={recorder}");
+    let stats = eve_telemetry::flight_uninstall().expect("recorder was installed");
     assert!(
-        cursor_iter() > 0,
-        "wide workload enumerates at least one tree"
+        stats.buffered > 0,
+        "recorder observed nothing — probe is vacuous"
     );
-
-    let cursor_median = median_ns(iters, || {
-        // 64 full streams per sample: one stream is sub-microsecond,
-        // too close to timer resolution to compare builds on.
-        for _ in 0..64 {
-            std::hint::black_box(cursor_iter());
-        }
-    });
-    println!("cursor_median_ns_per_iter={cursor_median}");
+    eve_telemetry::uninstall();
 }

@@ -54,8 +54,7 @@ pub struct PhaseTiming {
 }
 
 /// Phase timings plus cache/search counters captured from one traced
-/// pass over the bench workload. `None` when the `telemetry` feature is
-/// off or another pipeline is already installed.
+/// pass over the bench workload.
 #[derive(Debug, Clone)]
 pub struct TraceSummary {
     /// All registry counters (`index.cache.*`, `search.*`, `sync.*`, …),
@@ -70,8 +69,8 @@ pub struct TraceSummary {
 /// cache/search counters back out of the metrics registry. Installs and
 /// uninstalls the process-wide pipeline, so it serializes against other
 /// telemetry users and runs *outside* the timed scenarios — the timed
-/// rows in [`bench_cvs`] stay on the disabled fast path.
-#[cfg(feature = "telemetry")]
+/// rows in [`bench_cvs`] stay on the disabled fast path. `None` when
+/// another pipeline is already installed.
 pub fn trace_summary() -> Option<TraceSummary> {
     let _serial = eve_telemetry::serial_guard();
     eve_telemetry::install(vec![]).ok()?;
@@ -106,12 +105,6 @@ pub fn trace_summary() -> Option<TraceSummary> {
         counters: snapshot.counters,
         phases,
     })
-}
-
-/// Without the `telemetry` feature there is nothing to read out.
-#[cfg(not(feature = "telemetry"))]
-pub fn trace_summary() -> Option<TraceSummary> {
-    None
 }
 
 fn median_ns(iters: usize, mut f: impl FnMut()) -> u128 {
@@ -520,9 +513,8 @@ mod tests {
         assert!(j.trim_end().ends_with('}'), "{j}");
     }
 
-    /// With the feature on, the traced pass must surface every phase of
-    /// the pipeline and nonzero cache/search counters.
-    #[cfg(feature = "telemetry")]
+    /// The traced pass must surface every phase of the pipeline and
+    /// nonzero cache/search counters.
     #[test]
     fn trace_summary_covers_all_phases() {
         let t = trace_summary().expect("telemetry pipeline available");

@@ -3,6 +3,9 @@
 //! Lives in its own test binary because `#[global_allocator]` is
 //! process-global: a counting allocator here would skew every other
 //! test's timing, and another binary's allocator would skew this one.
+//! Counts are per thread, so the test harness and the other test of
+//! this binary, running on their own threads, do not show up in a
+//! probe's count.
 //!
 //! The tentpole claim under test: `TreeCursor::advance` allocates
 //! nothing in the steady state. Concretely —
@@ -24,26 +27,33 @@ use eve_hypergraph::Hypergraph;
 use eve_misd::{JoinConstraint, MetaKnowledgeBase};
 use eve_relational::{AttrRef, AttributeDef, Clause, Conjunction, DataType, RelName};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot may already be gone while the thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -55,11 +65,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Allocations performed while running `f`.
+/// Allocations performed by this thread while running `f`.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 fn rel(n: &str) -> RelName {
@@ -84,6 +94,15 @@ fn jc(id: &str, l: &str, r: &str) -> JoinConstraint {
             AttrRef::new(r, "k"),
         )]),
     )
+}
+
+/// The counter is live: an allocation on this thread is counted, so
+/// the zero counts below are not a dead counter's.
+#[test]
+fn counter_sees_this_threads_allocations() {
+    let (allocs, boxed) = allocations_in(|| Box::new(std::hint::black_box(7u64)));
+    assert_eq!(allocs, 1);
+    assert_eq!(*boxed, 7);
 }
 
 /// Star with parallel edges: HUB joined to A, B, C, with two alternative

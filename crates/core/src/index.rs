@@ -52,7 +52,7 @@
 use crate::delta::{build_covers, build_pcs, pair_key, IndexCore};
 use crate::options::CvsOptions;
 use crate::replacement::CoverChoice;
-use eve_hypergraph::{ConnectionTree, GraphDelta, Hypergraph, RelId, RelSet};
+use eve_hypergraph::{ConnectionTree, ConnectionTreeIter, GraphDelta, Hypergraph, RelId, RelSet};
 use eve_misd::{MetaKnowledgeBase, PartialComplete};
 use eve_relational::{AttrRef, RelName};
 use std::collections::hash_map::RandomState;
@@ -369,10 +369,10 @@ impl<'m> MkbIndex<'m> {
         mkb_prime: &'m MetaKnowledgeBase,
         opts: &CvsOptions,
     ) -> Self {
-        let mut span = crate::telem::span("index-build");
+        let mut span = eve_telemetry::span("index-build");
         span.field("relations", mkb.relation_count() as u64);
         span.field("joins", mkb.joins().len() as u64);
-        crate::telem::counter_add("index.builds", 1);
+        eve_telemetry::counter_add("index.builds", 1);
         crate::faults::hit("index.build");
         let h = Arc::new(Hypergraph::build(mkb));
         let components = Arc::new(h.components().into_iter().map(Arc::new).collect::<Vec<_>>());
@@ -426,10 +426,10 @@ impl<'m> MkbIndex<'m> {
         opts: &CvsOptions,
         carry: Option<MemoCarry>,
     ) -> Self {
-        let mut span = crate::telem::span("index-from-cores");
+        let mut span = eve_telemetry::span("index-from-cores");
         span.field("relations", mkb.relation_count() as u64);
         span.field("carried", carry.is_some() as u64);
-        crate::telem::counter_add("index.delta_builds", 1);
+        eve_telemetry::counter_add("index.delta_builds", 1);
         // Distinct from `index.build` (the full-rebuild path) so fault
         // plans can address delta maintenance specifically.
         crate::faults::hit("index.delta-build");
@@ -555,11 +555,12 @@ impl<'m> MkbIndex<'m> {
             // deterministically empty — nothing worth memoizing):
             // compute directly.
             _ => {
-                let mut span = crate::telem::span("tree-enumeration");
+                let mut span = eve_telemetry::span("tree-enumeration");
                 span.field("terminals", terminals.len() as u64);
-                let trees = self
-                    .h_prime
-                    .enumerate_trees(terminals, limit, max_path_edges);
+                let trees: Vec<ConnectionTree> =
+                    ConnectionTreeIter::new(&self.h_prime, terminals, max_path_edges)
+                        .take(limit)
+                        .collect();
                 span.field("yielded", trees.len() as u64);
                 return Arc::new(trees);
             }
@@ -576,7 +577,7 @@ impl<'m> MkbIndex<'m> {
             }
         }
         self.trees.count_miss();
-        let mut span = crate::telem::span("tree-enumeration");
+        let mut span = eve_telemetry::span("tree-enumeration");
         span.field("terminals", terminals.len() as u64);
         let mut prefix = cell.write().unwrap_or_else(|e| e.into_inner());
         if !prefix.serves(limit) {

@@ -90,7 +90,6 @@ pub mod rewrite;
 pub mod service;
 pub mod svs;
 pub mod synchronizer;
-pub(crate) mod telem;
 
 #[cfg(test)]
 pub(crate) mod testutil;

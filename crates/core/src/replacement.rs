@@ -139,8 +139,8 @@ pub fn compute_replacements_indexed(
     }
     // Same single accumulation path as the budgeted search: counters
     // are read out of the stream, never counted in parallel.
-    if crate::telem::enabled() && stream.disconnected_combos() > 0 {
-        crate::telem::counter_add(
+    if eve_telemetry::enabled() && stream.disconnected_combos() > 0 {
+        eve_telemetry::counter_add(
             "search.disconnected_combos",
             stream.disconnected_combos() as u64,
         );

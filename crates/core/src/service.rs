@@ -18,7 +18,6 @@
 //! commits fully-built state.
 
 use crate::synchronizer::{ChangeOutcome, SyncPanic, Synchronizer};
-use crate::telem;
 use eve_esql::ViewDefinition;
 use eve_misd::{CapabilityChange, MetaKnowledgeBase, MisdError};
 use std::fmt;
@@ -76,9 +75,9 @@ impl SharedSynchronizer {
     /// span labelled with the recorded identity of the panicking change,
     /// so the trace answers "recovered from *what*?".
     fn note_poison_recovery(&self) {
-        telem::counter_add("service.poison_recoveries", 1);
-        if telem::enabled() {
-            let mut span = telem::span("poison-recovery");
+        eve_telemetry::counter_add("service.poison_recoveries", 1);
+        if eve_telemetry::enabled() {
+            let mut span = eve_telemetry::span("poison-recovery");
             span.label(|| {
                 self.last_failure()
                     .map(|f| f.to_string())
@@ -88,9 +87,9 @@ impl SharedSynchronizer {
     }
 
     fn read_lock(&self) -> RwLockReadGuard<'_, Synchronizer> {
-        let wait = telem::start_timer();
+        let wait = eve_telemetry::start_timer();
         let result = self.inner.read();
-        telem::stop_timer("service.read_wait_ns", wait);
+        eve_telemetry::stop_timer("service.read_wait_ns", wait);
         result.unwrap_or_else(|e| {
             self.note_poison_recovery();
             e.into_inner()
@@ -98,9 +97,9 @@ impl SharedSynchronizer {
     }
 
     fn write_lock(&self) -> RwLockWriteGuard<'_, Synchronizer> {
-        let wait = telem::start_timer();
+        let wait = eve_telemetry::start_timer();
         let result = self.inner.write();
-        telem::stop_timer("service.write_wait_ns", wait);
+        eve_telemetry::stop_timer("service.write_wait_ns", wait);
         result.unwrap_or_else(|e| {
             self.note_poison_recovery();
             e.into_inner()
@@ -257,14 +256,19 @@ mod tests {
     use std::thread;
 
     fn shared() -> SharedSynchronizer {
+        shared_named("CPA")
+    }
+
+    /// The fixture with its view named `name`.
+    fn shared_named(name: &str) -> SharedSynchronizer {
         let sync = SynchronizerBuilder::new(travel_mkb())
             .with_view(
-                parse_view(
-                    "CREATE VIEW CPA AS
+                parse_view(&format!(
+                    "CREATE VIEW {name} AS
                      SELECT C.Name (false, true), F.PName (true, true), F.Dest (true, true)
                      FROM Customer C (true, true), FlightRes F (true, true)
-                     WHERE (C.Name = F.PName) (false, true)",
-                )
+                     WHERE (C.Name = F.PName) (false, true)"
+                ))
                 .unwrap(),
             )
             .unwrap()
@@ -317,9 +321,7 @@ mod tests {
 
     #[test]
     fn panic_while_writing_leaves_readers_on_last_snapshot() {
-        #[cfg(feature = "telemetry")]
         let _serial = eve_telemetry::serial_guard();
-        #[cfg(feature = "telemetry")]
         eve_telemetry::install(vec![]).expect("no pipeline installed");
 
         let s = shared();
@@ -352,26 +354,25 @@ mod tests {
             .expect("alive")
             .uses_relation(&RelName::new("Customer")));
 
-        #[cfg(feature = "telemetry")]
-        {
-            let snap = eve_telemetry::uninstall().expect("pipeline was installed");
-            let recoveries = snap.counter("service.poison_recoveries").unwrap_or(0);
-            assert!(
-                recoveries >= 3,
-                "read+read+write recoveries, got {recoveries}"
-            );
-        }
+        let snap = eve_telemetry::uninstall().expect("pipeline was installed");
+        let recoveries = snap.counter("service.poison_recoveries").unwrap_or(0);
+        assert!(
+            recoveries >= 3,
+            "read+read+write recoveries, got {recoveries}"
+        );
     }
 
-    #[cfg(feature = "faults")]
+    /// The fault plan is process-wide and scoped by view name, so the
+    /// faulted view is named apart from the `CPA` that tests running
+    /// alongside synchronize.
     #[test]
     fn failfast_panic_records_identity_and_keeps_handle_usable() {
         let _serial = eve_faults::serial_guard();
         let _ = eve_faults::uninstall();
-        eve_faults::install(eve_faults::FaultPlan::parse("CPA/view.sync#0=panic").unwrap())
+        eve_faults::install(eve_faults::FaultPlan::parse("Faulted-CPA/view.sync#0=panic").unwrap())
             .unwrap();
 
-        let s = shared();
+        let s = shared_named("Faulted-CPA");
         let change = CapabilityChange::DeleteRelation(RelName::new("Customer"));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.apply(&change)));
         let report = eve_faults::uninstall().expect("plan was installed");
@@ -382,10 +383,10 @@ mod tests {
         let sp = payload
             .downcast_ref::<crate::SyncPanic>()
             .expect("typed SyncPanic payload");
-        assert_eq!(sp.view, "CPA");
+        assert_eq!(sp.view, "Faulted-CPA");
         assert!(sp.change.contains("Customer"), "{}", sp.change);
         let failure = s.last_failure().expect("identity recorded");
-        assert_eq!(failure.view.as_deref(), Some("CPA"));
+        assert_eq!(failure.view.as_deref(), Some("Faulted-CPA"));
         assert!(failure.change.contains("Customer"), "{failure}");
         assert!(failure.message.contains("view.sync"), "{failure}");
 
@@ -393,7 +394,7 @@ mod tests {
         // snapshot and the handle keeps working for writes.
         assert!(s.inner.is_poisoned());
         assert!(s
-            .view("CPA")
+            .view("Faulted-CPA")
             .expect("view resolvable after poison")
             .uses_relation(&RelName::new("Customer")));
         let outcome = s.apply(&change).expect("applies once the fault is gone");

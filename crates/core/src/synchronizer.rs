@@ -34,12 +34,10 @@ use crate::cost::CostModel;
 use crate::delta::{DeltaSummary, IndexCore, MkbDelta};
 use crate::engine;
 use crate::error::CvsError;
-use crate::faults;
 use crate::index::{CacheStats, MemoCarry, MkbIndex};
 use crate::legal::LegalRewriting;
 use crate::options::{CvsOptions, FailurePolicy, IndexMaintenance};
 use crate::rewrite::SearchStats;
-use crate::telem;
 use eve_esql::{validate_view, ViewDefinition};
 use eve_misd::{evolve, CapabilityChange, MetaKnowledgeBase, MisdError};
 use std::fmt;
@@ -571,7 +569,7 @@ impl Synchronizer {
     /// registration order, so the outcome is byte-identical to a
     /// sequential run.
     pub fn apply(&mut self, change: &CapabilityChange) -> Result<ChangeOutcome, MisdError> {
-        let mut apply_span = telem::span("apply");
+        let mut apply_span = eve_telemetry::span("apply");
         apply_span.label(|| change.to_string());
         let mkb_prime = evolve(&self.mkb, change)?;
         let mode = self.opts.index_maintenance;
@@ -581,14 +579,14 @@ impl Synchronizer {
         // from scratch at commit time (the equivalence oracle).
         let (delta, next_core) = match mode {
             IndexMaintenance::Rebuild => (None, None),
-            IndexMaintenance::Incremental | IndexMaintenance::IncrementalFresh => {
+            IndexMaintenance::Incremental => {
                 let d = MkbDelta::compute(&self.mkb, &mkb_prime, change);
                 let next = self.core.apply_delta(&d);
                 (Some(d), Some(next))
             }
         };
-        // Memo tables survive a change only under full Incremental mode,
-        // and only when the change left the relevant H' regions intact.
+        // Memo tables survive a change only under Incremental mode, and
+        // only when the change left the relevant H' regions intact.
         let carry_in = match (mode, delta.as_ref(), next_core.as_ref()) {
             (IndexMaintenance::Incremental, Some(d), Some(next)) => {
                 self.carry.take().and_then(|c| {
@@ -632,7 +630,7 @@ impl Synchronizer {
             // Stamped only when a fault plan is installed, so chaos
             // traces are distinguishable while fault-free traces keep
             // their pinned golden shape.
-            if faults::active() {
+            if eve_faults::active() {
                 apply_span.field("fault-injection", 1);
             }
             let apply_ctx = apply_span.ctx();
@@ -646,11 +644,11 @@ impl Synchronizer {
             // name — which also keeps injected-fault hit counts
             // deterministic across worker counts).
             let run_view = |task: usize, view: &ViewDefinition| {
-                faults::scoped(&view.name, || {
+                eve_faults::scoped(&view.name, || {
                     // Pool workers have no span stack of their own:
                     // parent explicitly under the apply span so the
                     // fan-out shows up as one tree.
-                    let mut view_span = telem::span_under("view-sync", apply_ctx);
+                    let mut view_span = eve_telemetry::span_under("view-sync", apply_ctx);
                     view_span.label(|| view.name.clone());
                     view_span.field("task", task as u64);
                     engine::synchronize_view(
@@ -677,7 +675,7 @@ impl Synchronizer {
                 let outcome = match results.next().expect("one pool result per affected view") {
                     Ok(outcome) => outcome,
                     Err(panic) => Self::resolve_failure(policy, change, name, panic, || {
-                        telem::counter_add("sync.view_retries", 1);
+                        eve_telemetry::counter_add("sync.view_retries", 1);
                         parpool::call_caught(task, || run_view(task, view))
                     }),
                 };
@@ -712,11 +710,11 @@ impl Synchronizer {
             // Fold the per-index memo counters into the registry before
             // the index (and its atomics) goes away.
             cache = index.cache_stats();
-            if telem::enabled() {
-                telem::counter_add("index.cache.hits", cache.hits);
-                telem::counter_add("index.cache.misses", cache.misses);
+            if eve_telemetry::enabled() {
+                eve_telemetry::counter_add("index.cache.hits", cache.hits);
+                eve_telemetry::counter_add("index.cache.misses", cache.misses);
             }
-            // Full Incremental mode keeps this change's warm memo tables
+            // Incremental mode keeps this change's warm memo tables
             // for the next change's index to start from.
             carry_out = match mode {
                 IndexMaintenance::Incremental => Some(index.into_carry()),
@@ -749,21 +747,21 @@ impl Synchronizer {
             views: outcomes,
             cache,
         };
-        if telem::enabled() {
-            telem::counter_add("sync.changes", 1);
-            telem::counter_add("sync.views.rewritten", outcome.rewritten() as u64);
+        if eve_telemetry::enabled() {
+            eve_telemetry::counter_add("sync.changes", 1);
+            eve_telemetry::counter_add("sync.views.rewritten", outcome.rewritten() as u64);
             let disabled = outcome.views.iter().filter(|(_, o)| !o.survived()).count();
-            telem::counter_add("sync.views.disabled", disabled as u64);
+            eve_telemetry::counter_add("sync.views.disabled", disabled as u64);
             let revived = outcome
                 .views
                 .iter()
                 .filter(|(_, o)| matches!(o, ViewOutcome::Revived))
                 .count();
-            telem::counter_add("sync.views.revived", revived as u64);
+            eve_telemetry::counter_add("sync.views.revived", revived as u64);
             // Point-in-time levels for the scrape endpoint: how many
             // views are live vs parked after this change.
-            telem::gauge_set("sync.views_active", self.views.len() as u64);
-            telem::gauge_set("sync.views_disabled", self.disabled.len() as u64);
+            eve_telemetry::gauge_set("sync.views_active", self.views.len() as u64);
+            eve_telemetry::gauge_set("sync.views_disabled", self.disabled.len() as u64);
         }
         Ok(outcome)
     }
@@ -790,15 +788,15 @@ impl Synchronizer {
         let mut attempts: u32 = 1;
         let mut panic = first;
         loop {
-            let (message, transient) = match faults::injected_info(panic.payload.as_ref()) {
-                Some((message, transient)) => (message, transient),
+            let (message, transient) = match eve_faults::injected(panic.payload.as_ref()) {
+                Some(fault) => (fault.to_string(), fault.transient),
                 None => (panic.message.clone(), false),
             };
             match policy {
                 FailurePolicy::FailFast => {
                     // Last chance for evidence: dump the flight-recorder
                     // window before the panic unwinds out of the engine.
-                    telem::flight_trigger("sync-panic", &change.to_string(), name);
+                    eve_telemetry::flight_trigger("sync-panic", &change.to_string(), name);
                     std::panic::resume_unwind(Box::new(SyncPanic {
                         change: change.to_string(),
                         view: name.to_string(),
@@ -824,8 +822,8 @@ impl Synchronizer {
                             }
                         }
                     }
-                    telem::counter_add("service.view_failures", 1);
-                    telem::flight_trigger("view-failed", &change.to_string(), name);
+                    eve_telemetry::counter_add("service.view_failures", 1);
+                    eve_telemetry::flight_trigger("view-failed", &change.to_string(), name);
                     return ViewOutcome::Failed {
                         error: if transient {
                             SyncFailure::Transient { message }
@@ -994,17 +992,22 @@ mod tests {
     use eve_relational::{AttrName, AttrRef, RelName};
 
     fn sync() -> Synchronizer {
+        sync_named("Customer-Passengers-Asia")
+    }
+
+    /// The fixture with its first view named `name`.
+    fn sync_named(name: &str) -> Synchronizer {
         SynchronizerBuilder::new(travel_mkb())
             .with_view(
-                parse_view(
-                    "CREATE VIEW Customer-Passengers-Asia AS
+                parse_view(&format!(
+                    "CREATE VIEW {name} AS
                      SELECT C.Name (false, true), C.Age (true, true),
                             P.Participant (true, true), P.TourID (true, true),
                             P.StartDate (true, true), F.Date (true, true), F.PName (true, true)
                      FROM Customer C (true, true), FlightRes F (true, true), Participant P (true, true)
                      WHERE (C.Name = F.PName) (false, true) AND (F.Dest = 'Asia') (CD = true)
-                       AND (P.StartDate = F.Date) (CD = true) AND (P.Loc = 'Asia') (CD = true)",
-                )
+                       AND (P.StartDate = F.Date) (CD = true) AND (P.Loc = 'Asia') (CD = true)"
+                ))
                 .unwrap(),
             )
             .unwrap()
@@ -1498,9 +1501,13 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "faults")]
+    /// Fault plans are installed process-wide and scoped by view name,
+    /// so the tests that install one name the faulted view apart from
+    /// every view that tests running alongside them synchronize.
+    const FAULTED: &str = "Faulted-CPA";
+
     fn sync_with_policy(policy: crate::FailurePolicy) -> Synchronizer {
-        let mut s = sync();
+        let mut s = sync_named(FAULTED);
         s.opts = CvsOptions {
             failure: policy,
             ..s.opts
@@ -1508,7 +1515,6 @@ mod tests {
         s
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn degrade_contains_injected_panic_to_one_view() {
         let _serial = eve_faults::serial_guard();
@@ -1518,7 +1524,7 @@ mod tests {
 
         let _ = eve_faults::uninstall();
         eve_faults::install(
-            eve_faults::FaultPlan::parse("Customer-Passengers-Asia/view.sync=panic").unwrap(),
+            eve_faults::FaultPlan::parse(&format!("{FAULTED}/view.sync=panic")).unwrap(),
         )
         .unwrap();
         let mut s = sync_with_policy(crate::FailurePolicy::degrade());
@@ -1541,11 +1547,10 @@ mod tests {
         assert_eq!(outcome.views[1], expected.views[1]);
         // …and the failed view is parked with its last definition for
         // revival, not dropped.
-        assert!(s.view("Customer-Passengers-Asia").is_none());
+        assert!(s.view(FAULTED).is_none());
         assert_eq!(s.disabled_views().count(), 1);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn degrade_retries_transient_faults_to_convergence() {
         let _serial = eve_faults::serial_guard();
@@ -1556,7 +1561,7 @@ mod tests {
         // Hit 0 only: the first attempt dies, the retry sails through.
         let _ = eve_faults::uninstall();
         eve_faults::install(
-            eve_faults::FaultPlan::parse("Customer-Passengers-Asia/view.sync#0=transient").unwrap(),
+            eve_faults::FaultPlan::parse(&format!("{FAULTED}/view.sync#0=transient")).unwrap(),
         )
         .unwrap();
         let mut s = sync_with_policy(crate::FailurePolicy::Degrade {
@@ -1571,7 +1576,7 @@ mod tests {
         // A persistent transient exhausts the retries and reports every
         // attempt.
         eve_faults::install(
-            eve_faults::FaultPlan::parse("Customer-Passengers-Asia/view.sync=transient").unwrap(),
+            eve_faults::FaultPlan::parse(&format!("{FAULTED}/view.sync=transient")).unwrap(),
         )
         .unwrap();
         let mut s = sync_with_policy(crate::FailurePolicy::Degrade {

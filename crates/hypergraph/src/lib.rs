@@ -28,9 +28,11 @@
 //! * [`Hypergraph::join_path`] / [`Hypergraph::all_simple_paths`] — chains
 //!   of join constraints between two relations (the "possibly complex view
 //!   rewrites through multiple join constraints" of the abstract);
-//! * [`ConnectionTree::connect`] — a minimal tree of join constraints
-//!   connecting a *set* of required relations (used to assemble
-//!   `Max(V_{j,R})` candidates from `Min(H'_R)` plus covers).
+//! * [`Hypergraph::tree_iter`] / [`Hypergraph::tree_cursor`] — the
+//!   stream of alternative trees of join constraints connecting a *set*
+//!   of required relations (used to assemble `Max(V_{j,R})` candidates
+//!   from `Min(H'_R)` plus covers);
+//! * [`Hypergraph::connect_tree`] — the single greedy connection tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +44,6 @@ pub mod graph;
 pub mod intern;
 pub mod paths;
 pub mod relset;
-pub(crate) mod telem;
 
 pub use delta::GraphDelta;
 pub use graph::Hypergraph;

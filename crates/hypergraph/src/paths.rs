@@ -32,9 +32,9 @@
 //! is byte-identical to the legacy string-keyed implementation — the
 //! heap orders partials by `(len, join-id ranks, edge indices, current
 //! vertex, visited set)`, each component an order-preserving image of
-//! the legacy `(len, ids, edges, cur, visited)` key. The collect-all
-//! [`ConnectionTree::enumerate`] / [`ConnectionTree::enumerate_with_limit`]
-//! entry points are thin wrappers over the iterator.
+//! the legacy `(len, ids, edges, cur, visited)` key.
+//! [`Hypergraph::connect_tree`] is the separate single-tree entry point:
+//! the greedy Steiner tree alone, without alternatives.
 
 use crate::graph::Hypergraph;
 use crate::intern::RelId;
@@ -68,55 +68,6 @@ impl ConnectionTree {
             relations: [rel].into_iter().collect(),
             joins: Vec::new(),
         }
-    }
-
-    /// Greedily build a connection tree covering all `terminals` inside
-    /// `graph`. Returns `None` when the terminals are not all in one
-    /// component (Def. 3: "if relations left in `Min(H'_R)` are in
-    /// disconnected components then the set R-replacement is empty") or
-    /// when `terminals` is empty.
-    pub fn connect(graph: &Hypergraph, terminals: &BTreeSet<RelName>) -> Option<ConnectionTree> {
-        Self::connect_with_limit(graph, terminals, usize::MAX)
-    }
-
-    /// Like [`ConnectionTree::connect`], but each terminal must be
-    /// attachable to the growing tree by a path of at most
-    /// `max_path_edges` join constraints. With `max_path_edges = 1` this
-    /// reproduces the *one-step-away* rewritings of the authors' earlier
-    /// simple view synchronization (the SVS baseline of [4, 12]).
-    pub fn connect_with_limit(
-        graph: &Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        max_path_edges: usize,
-    ) -> Option<ConnectionTree> {
-        let ids = intern_terminals(graph, terminals)?;
-        let (rels, edges) = connect_ids(graph, &ids, max_path_edges)?;
-        Some(materialize(graph, &rels, &edges))
-    }
-
-    /// Collect up to `limit` alternative connection trees for the same
-    /// terminal set. Thin wrapper over [`ConnectionTreeIter`]; the base
-    /// (fewest-edge) tree is always first.
-    pub fn enumerate(
-        graph: &Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        limit: usize,
-    ) -> Vec<ConnectionTree> {
-        Self::enumerate_with_limit(graph, terminals, limit, usize::MAX)
-    }
-
-    /// [`ConnectionTree::enumerate`] with the hop bound of
-    /// [`ConnectionTree::connect_with_limit`]. Thin wrapper:
-    /// `ConnectionTreeIter::new(..).take(limit).collect()`.
-    pub fn enumerate_with_limit(
-        graph: &Hypergraph,
-        terminals: &BTreeSet<RelName>,
-        limit: usize,
-        max_path_edges: usize,
-    ) -> Vec<ConnectionTree> {
-        ConnectionTreeIter::new(graph, terminals, max_path_edges)
-            .take(limit)
-            .collect()
     }
 
     /// Is `rel` part of the tree?
@@ -475,9 +426,9 @@ fn write_path_scratch(
 
 impl Drop for TreeCursor<'_> {
     fn drop(&mut self) {
-        if crate::telem::enabled() {
-            crate::telem::counter_add("hypergraph.tree_iters", 1);
-            crate::telem::counter_add("hypergraph.trees_yielded", self.yielded);
+        if eve_telemetry::enabled() {
+            eve_telemetry::counter_add("hypergraph.tree_iters", 1);
+            eve_telemetry::counter_add("hypergraph.trees_yielded", self.yielded);
         }
     }
 }
@@ -586,9 +537,7 @@ fn shortest_path_from_set(graph: &Hypergraph, sources: &RelSet, target: RelId) -
 /// nondecreasing edge count — the string-keyed boundary over
 /// [`TreeCursor`].
 ///
-/// This is the single budgeted core behind
-/// [`ConnectionTree::enumerate`] / [`ConnectionTree::enumerate_with_limit`]:
-/// pulling `n` trees does only the work needed for `n` trees, so a
+/// Pulling `n` trees does only the work needed for `n` trees, so a
 /// top-k or budget-bounded caller can abandon the stream early. The
 /// yield sequence is a pure, deterministic function of
 /// `(graph, terminals, max_path_edges)` — the contract that lets
@@ -626,7 +575,7 @@ impl Iterator for ConnectionTreeIter<'_> {
 /// Cache-friendly enumeration entry points.
 ///
 /// All three are pure, deterministic functions of
-/// `(self, terminals, limit, max_path_edges)` — same inputs, same output,
+/// `(self, terminals, max_path_edges)` — same inputs, same output,
 /// every time — which is the contract that lets `MkbIndex` memoize their
 /// results per change under a `(terminal set, hop bound)` key (serving
 /// any requested prefix length) without risking any behavioural
@@ -655,27 +604,23 @@ impl Hypergraph {
         TreeCursor::new(self, terminals, max_path_edges)
     }
 
-    /// Enumerate up to `limit` connection trees spanning `terminals`,
-    /// each hop bounded by `max_path_edges`. Method form of
-    /// [`ConnectionTree::enumerate_with_limit`].
-    pub fn enumerate_trees(
-        &self,
-        terminals: &BTreeSet<RelName>,
-        limit: usize,
-        max_path_edges: usize,
-    ) -> Vec<ConnectionTree> {
-        ConnectionTree::enumerate_with_limit(self, terminals, limit, max_path_edges)
-    }
-
-    /// The single greedy connection tree spanning `terminals` (hop bound
-    /// `max_path_edges`), or `None` when they cannot be connected. Method
-    /// form of [`ConnectionTree::connect_with_limit`].
+    /// Greedily build the single connection tree covering all
+    /// `terminals`, each terminal attached to the growing tree by a path
+    /// of at most `max_path_edges` join constraints. Returns `None` when
+    /// the terminals are not all in one component (Def. 3: "if relations
+    /// left in `Min(H'_R)` are in disconnected components then the set
+    /// R-replacement is empty") or when `terminals` is empty. With
+    /// `max_path_edges = 1` this reproduces the *one-step-away*
+    /// rewritings of the authors' earlier simple view synchronization
+    /// (the SVS baseline of [4, 12]).
     pub fn connect_tree(
         &self,
         terminals: &BTreeSet<RelName>,
         max_path_edges: usize,
     ) -> Option<ConnectionTree> {
-        ConnectionTree::connect_with_limit(self, terminals, max_path_edges)
+        let ids = intern_terminals(self, terminals)?;
+        let (rels, edges) = connect_ids(self, &ids, max_path_edges)?;
+        Some(materialize(self, &rels, &edges))
     }
 }
 
@@ -700,6 +645,15 @@ mod tests {
         )
     }
 
+    /// The first `limit` trees of the stream, without a hop bound.
+    fn first_trees(
+        g: &Hypergraph,
+        terminals: &BTreeSet<RelName>,
+        limit: usize,
+    ) -> Vec<ConnectionTree> {
+        g.tree_iter(terminals, usize::MAX).take(limit).collect()
+    }
+
     /// Star: HUB connected to A, B, C; D isolated; parallel edge HUB—A.
     fn star() -> Hypergraph {
         let rels: BTreeSet<RelName> = ["HUB", "A", "B", "C", "D"].iter().map(|s| rel(s)).collect();
@@ -717,7 +671,11 @@ mod tests {
     #[test]
     fn connect_terminals_through_hub() {
         let g = star();
-        let t = ConnectionTree::connect(&g, &[rel("A"), rel("B"), rel("C")].into_iter().collect())
+        let t = g
+            .connect_tree(
+                &[rel("A"), rel("B"), rel("C")].into_iter().collect(),
+                usize::MAX,
+            )
             .unwrap();
         assert!(t.contains(&rel("HUB"))); // Steiner vertex picked up
         assert_eq!(t.relations.len(), 4);
@@ -727,7 +685,9 @@ mod tests {
     #[test]
     fn connect_single_terminal_is_trivial() {
         let g = star();
-        let t = ConnectionTree::connect(&g, &[rel("B")].into_iter().collect()).unwrap();
+        let t = g
+            .connect_tree(&[rel("B")].into_iter().collect(), usize::MAX)
+            .unwrap();
         assert_eq!(t.relations.len(), 1);
         assert!(t.joins.is_empty());
     }
@@ -735,14 +695,16 @@ mod tests {
     #[test]
     fn disconnected_terminals_yield_none() {
         let g = star();
-        assert!(ConnectionTree::connect(&g, &[rel("A"), rel("D")].into_iter().collect()).is_none());
-        assert!(ConnectionTree::connect(&g, &BTreeSet::new()).is_none());
+        assert!(g
+            .connect_tree(&[rel("A"), rel("D")].into_iter().collect(), usize::MAX)
+            .is_none());
+        assert!(g.connect_tree(&BTreeSet::new(), usize::MAX).is_none());
     }
 
     #[test]
     fn enumerate_surfaces_parallel_constraints() {
         let g = star();
-        let trees = ConnectionTree::enumerate(&g, &[rel("A"), rel("B")].into_iter().collect(), 10);
+        let trees = first_trees(&g, &[rel("A"), rel("B")].into_iter().collect(), 10);
         assert_eq!(trees.len(), 2); // J1 vs J1b for the HUB—A hop
         let ids: BTreeSet<String> = trees
             .iter()
@@ -754,7 +716,7 @@ mod tests {
     #[test]
     fn enumerate_respects_limit() {
         let g = star();
-        let trees = ConnectionTree::enumerate(&g, &[rel("A"), rel("B")].into_iter().collect(), 1);
+        let trees = first_trees(&g, &[rel("A"), rel("B")].into_iter().collect(), 1);
         assert_eq!(trees.len(), 1);
     }
 
@@ -771,20 +733,18 @@ mod tests {
                 jc("J4", "Y", "B"),
             ],
         );
-        let trees = ConnectionTree::enumerate(&g, &[rel("A"), rel("B")].into_iter().collect(), 10);
+        let trees = first_trees(&g, &[rel("A"), rel("B")].into_iter().collect(), 10);
         assert_eq!(trees.len(), 2, "{trees:?}");
         let routes: BTreeSet<BTreeSet<RelName>> =
             trees.iter().map(|t| t.relations.clone()).collect();
         assert!(routes.contains(&["A", "X", "B"].iter().map(|s| rel(s)).collect()));
         assert!(routes.contains(&["A", "Y", "B"].iter().map(|s| rel(s)).collect()));
         // Hop bound 1 prunes both.
-        assert!(ConnectionTree::enumerate_with_limit(
-            &g,
-            &[rel("A"), rel("B")].into_iter().collect(),
-            10,
-            1
-        )
-        .is_empty());
+        assert_eq!(
+            g.tree_iter(&[rel("A"), rel("B")].into_iter().collect(), 1)
+                .count(),
+            0
+        );
     }
 
     #[test]
@@ -799,28 +759,9 @@ mod tests {
             .map(|(i, w)| jc(&format!("J{i}"), &w[0], &w[1]))
             .collect();
         let g = Hypergraph::from_parts(rels, joins);
-        let trees =
-            ConnectionTree::enumerate(&g, &[rel("N0"), rel("N10")].into_iter().collect(), 4);
+        let trees = first_trees(&g, &[rel("N0"), rel("N10")].into_iter().collect(), 4);
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].joins.len(), 10);
-    }
-
-    #[test]
-    fn method_entry_points_match_free_functions() {
-        let g = star();
-        let t: BTreeSet<RelName> = [rel("A"), rel("B")].into_iter().collect();
-        assert_eq!(
-            g.enumerate_trees(&t, 10, usize::MAX),
-            ConnectionTree::enumerate(&g, &t, 10)
-        );
-        assert_eq!(
-            g.connect_tree(&t, usize::MAX),
-            ConnectionTree::connect(&g, &t)
-        );
-        assert_eq!(
-            g.tree_iter(&t, usize::MAX).collect::<Vec<_>>(),
-            ConnectionTree::enumerate(&g, &t, usize::MAX)
-        );
     }
 
     #[test]
@@ -831,7 +772,9 @@ mod tests {
             rels,
             vec![jc("J1", "A", "B"), jc("J2", "B", "C"), jc("J3", "C", "D")],
         );
-        let t = ConnectionTree::connect(&g, &[rel("A"), rel("D")].into_iter().collect()).unwrap();
+        let t = g
+            .connect_tree(&[rel("A"), rel("D")].into_iter().collect(), usize::MAX)
+            .unwrap();
         assert_eq!(t.joins.len(), 3);
         assert_eq!(t.relations.len(), 4);
     }

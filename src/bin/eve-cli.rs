@@ -373,18 +373,11 @@ fn cmd_sync(args: &[String]) -> ExitCode {
         if eve::faults::install(plan).is_err() {
             return fail("--faults: a fault plan is already installed".into());
         }
-        // Under Degrade, injected faults are caught at the parpool task
-        // boundary, but the default panic hook would still print a
-        // backtrace for each one — silence those while letting organic
-        // panics report as usual. Under --fail-fast the injected panic
-        // is the diagnostic for the abort, so the hook stays.
+        // Under Degrade, injected faults are caught and reported per
+        // view. Under --fail-fast the injected panic is the diagnostic
+        // for the abort, so the default report stays.
         if !fail_fast {
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if eve::faults::injected(info.payload()).is_none() {
-                    default_hook(info);
-                }
-            }));
+            silence_injected_panics();
         }
         true
     } else {
@@ -655,10 +648,26 @@ fn cmd_metrics_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Skip the default panic report (and backtrace) for injected-fault
+/// payloads, which the caller catches and reports itself; organic
+/// panics still report as usual.
+fn silence_injected_panics() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if eve::faults::injected(info.payload()).is_none() {
+            default_hook(info);
+        }
+    }));
+}
+
 /// `simulate`: deterministic whole-system simulation with repro
 /// artifacts and schedule shrinking on invariant violations.
 fn cmd_simulate(args: &[String]) -> ExitCode {
     use eve::sim::{parse_artifact, render_artifact, run, run_trace, shrink, Profile, SimConfig};
+
+    // Fault episodes inject panics that the simulation catches and
+    // counts (`faults fired` in the summary).
+    silence_injected_panics();
 
     // Replay mode: the artifact carries the whole config.
     if let Some(path) = flag_value(args, "--replay") {

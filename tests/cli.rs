@@ -464,6 +464,28 @@ fn flight_recorder_dump_is_deterministic_across_workers() {
     assert!(!d1.contains("dur_ns"), "{d1}");
 }
 
+/// `simulate` contains the panics its fault episodes inject: none of
+/// them reaches stderr as a panic report, and the run's digest is the
+/// pinned one for this seed.
+#[test]
+fn simulate_silences_injected_panics() {
+    let out = Command::new(env!("CARGO_BIN_EXE_eve-cli"))
+        .args(["simulate", "--seed", "20260809", "--steps", "100"])
+        .env("RUST_BACKTRACE", "1")
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stdout}{stderr}");
+    assert!(stdout.contains("(3 faults fired)"), "{stdout}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert!(
+        stdout.lines().any(|l| l == "sim digest=e20ed671b74daf36"),
+        "{stdout}"
+    );
+}
+
 /// `metrics-serve` exposes `/metrics`, `/snapshot`, and `/health` over
 /// plain HTTP after running the fixture workload.
 #[test]
